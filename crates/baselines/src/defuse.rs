@@ -43,12 +43,7 @@ pub struct Defuse {
     histogram: HybridHistogram,
     /// source index -> outgoing dependencies.
     dependents: Vec<Vec<Dependency>>,
-    /// Pre-loaded dependents are protected from the histogram layer's
-    /// eviction until this slot (their own histogram knows nothing about
-    /// the dependency that loaded them).
-    hold_until: Vec<Slot>,
     edges: usize,
-    max_lag: u32,
 }
 
 impl Defuse {
@@ -138,9 +133,7 @@ impl Defuse {
         Self {
             histogram,
             dependents,
-            hold_until: vec![0; n],
             edges,
-            max_lag,
         }
     }
 
@@ -172,27 +165,20 @@ impl Policy for Defuse {
     fn on_slot(&mut self, now: Slot, invoked: &[(FunctionId, u32)], pool: &mut MemoryPool) {
         // Dependency pre-loading: fire the dependents of everything that
         // just ran, holding each across its expected lag (plus one slot of
-        // slack).
+        // slack). A fresh instance otherwise expires as its histogram
+        // says; the hold keeps the histogram layer, which knows nothing
+        // of the dependency, from dropping it before the chained call.
         for &(f, _) in invoked {
             for dep in &self.dependents[f.index()] {
-                pool.load(dep.target, now);
-                let hold = now + dep.lag + 1;
-                if hold > self.hold_until[dep.target.index()] {
-                    self.hold_until[dep.target.index()] = hold;
+                if pool.load(dep.target, now) {
+                    pool.expire_at(dep.target, self.histogram.expiry_of(dep.target, now));
                 }
+                pool.hold_until(dep.target, now + dep.lag + 1);
             }
         }
-        // Keep-alive / eviction: delegate to the histogram layer (which
-        // also observes `invoked` here), then restore any held dependents
-        // the histogram evicted — it has no idea they were pre-loaded for
-        // an imminent chained invocation.
+        // Keep-alive: delegate to the histogram layer (which also observes
+        // `invoked` here).
         self.histogram.on_slot(now, invoked, pool);
-        for (idx, &hold) in self.hold_until.iter().enumerate() {
-            if hold > now {
-                pool.load(FunctionId(idx as u32), now);
-            }
-        }
-        let _ = self.max_lag;
     }
 }
 

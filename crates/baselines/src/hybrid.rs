@@ -95,6 +95,27 @@ impl UnitState {
         self.prewarm = (f64::from(head) * (1.0 - HEAD_MARGIN)).floor() as u32;
         self.keep_alive = ((f64::from(tail) * (1.0 + TAIL_MARGIN)).ceil() as u32).max(1);
     }
+
+    /// The first slot from `now` on at which a member's idle time lies
+    /// outside the keep windows. The windows move only when the unit is
+    /// invoked or pre-warmed, and both set fresh deadlines.
+    fn expiry(&self, now: Slot) -> Slot {
+        let Some(last) = self.last_invoked else {
+            return now;
+        };
+        if !(self.representative && self.prewarm > 1) {
+            return last.saturating_add(self.keep_alive);
+        }
+        // Kept during [last, last + 1) and [last + prewarm, last + window_end].
+        let window_end = self.keep_alive.max(self.prewarm);
+        match now - last {
+            0 => last + 1,
+            idle if (self.prewarm..=window_end).contains(&idle) => {
+                last.saturating_add(window_end).saturating_add(1)
+            }
+            _ => now,
+        }
+    }
 }
 
 /// The Hybrid histogram policy.
@@ -165,7 +186,7 @@ impl HybridHistogram {
 
         // Train: feed per-unit idle times from the training window.
         let fallback = 10;
-        for (unit_idx, unit) in units.iter_mut().enumerate() {
+        for unit in &mut units {
             let mut slots: Vec<Slot> = Vec::new();
             for &f in &unit.members {
                 for &(s, _) in trace.series_of(f).events_in(train_start, train_end) {
@@ -178,7 +199,6 @@ impl HybridHistogram {
                 unit.histogram.observe(w[1] - w[0]);
             }
             unit.refresh_decision(fallback);
-            let _ = unit_idx;
         }
 
         Self {
@@ -200,6 +220,12 @@ impl HybridHistogram {
         self.granularity
     }
 
+    /// The deadline the histogram gives `f` if loaded at `now` — for
+    /// instances a policy layered on top loads itself.
+    pub(crate) fn expiry_of(&self, f: FunctionId, now: Slot) -> Slot {
+        self.units[self.unit_of[f.index()]].expiry(now)
+    }
+
     /// Fraction of units currently using the fixed fallback (Defuse
     /// reports >32% of functions end up there).
     #[must_use]
@@ -219,7 +245,8 @@ impl Policy for HybridHistogram {
 
     fn on_slot(&mut self, now: Slot, invoked: &[(FunctionId, u32)], pool: &mut MemoryPool) {
         // 1. Record invocations, update histograms online, schedule the
-        // next pre-warm for representative units.
+        // next pre-warm for representative units, and re-arm the unit's
+        // loaded members.
         for &(f, _) in invoked {
             let unit_idx = self.unit_of[f.index()];
             let unit = &mut self.units[unit_idx];
@@ -241,12 +268,19 @@ impl Policy for HybridHistogram {
                     .or_default()
                     .push(unit_idx);
             }
+            let expiry = unit.expiry(now);
+            for &m in &unit.members {
+                pool.expire_at(m, expiry);
+            }
         }
 
-        // 2. Fire due pre-warms.
-        let due: Vec<Slot> = self.agenda.range(..=now).map(|(&s, _)| s).collect();
-        for slot in due {
-            for unit_idx in self.agenda.remove(&slot).expect("agenda key") {
+        // 2. Fire due pre-warms; the loaded members live until the end of
+        // the keep window.
+        while let Some(entry) = self.agenda.first_entry() {
+            if *entry.key() > now {
+                break;
+            }
+            for unit_idx in entry.remove() {
                 let unit = &self.units[unit_idx];
                 // Skip stale pre-warms (unit invoked again meanwhile).
                 if unit
@@ -255,32 +289,11 @@ impl Policy for HybridHistogram {
                 {
                     continue;
                 }
+                let expiry = unit.expiry(now);
                 for &f in &unit.members {
                     pool.load(f, now);
+                    pool.expire_at(f, expiry);
                 }
-            }
-        }
-
-        // 3. Evict expired units.
-        for f in pool.loaded().to_vec() {
-            let unit = &self.units[self.unit_of[f.index()]];
-            let expired = match unit.last_invoked {
-                Some(last) => {
-                    let idle = now - last;
-                    if unit.representative && unit.prewarm > 1 {
-                        // Instance lives in [last, last + a short linger]
-                        // and again in [last + prewarm, last + keep_alive].
-                        let in_prewarm_window =
-                            idle >= unit.prewarm && idle <= unit.keep_alive.max(unit.prewarm);
-                        !(idle < 1 || in_prewarm_window)
-                    } else {
-                        idle >= unit.keep_alive
-                    }
-                }
-                None => true,
-            };
-            if expired {
-                pool.evict(f);
             }
         }
     }

@@ -86,12 +86,10 @@ pub struct SpesPolicy {
     /// Invocation sequence number; stale agenda entries are skipped.
     generation: Vec<u32>,
     online_wts: Vec<Vec<u32>>,
-    hold_until: Vec<Slot>,
     /// Pre-warm agenda: first predicted slot -> (function, hold-until,
     /// generation at scheduling time).
     agenda: BTreeMap<Slot, Vec<(FunctionId, Slot, u32)>>,
     ucorr: OnlineCorrelation,
-    started: bool,
 
     fit_stats: FitStats,
     online_stats: OnlineStatsCounters,
@@ -205,10 +203,8 @@ impl SpesPolicy {
             last_invoked: vec![None; n],
             generation: vec![0; n],
             online_wts: vec![Vec::new(); n],
-            hold_until: vec![0; n],
             agenda: BTreeMap::new(),
             ucorr,
-            started: false,
             fit_stats,
             online_stats: OnlineStatsCounters::default(),
             config,
@@ -315,6 +311,30 @@ impl SpesPolicy {
             }
         }
         out
+    }
+
+    /// Sets loaded `f`'s give-up deadline (Algorithm 1, lines 14-19): idle
+    /// time counts from the last invocation (never zero), else from the
+    /// load. Always-warm functions get none.
+    fn arm_expiry(&self, f: FunctionId, pool: &mut MemoryPool) {
+        let ty = self.types[f.index()];
+        if ty == FunctionType::AlwaysWarm {
+            return;
+        }
+        let givenup = self.config.givenup_for(ty);
+        let deadline = match self.last_invoked[f.index()] {
+            Some(last) => last.saturating_add(givenup.max(1)),
+            None => pool.loaded_since(f).saturating_add(givenup),
+        };
+        pool.expire_at(f, deadline);
+    }
+
+    /// Pre-loads `f` at `now` and holds it until `hold`.
+    fn prewarm(&self, f: FunctionId, now: Slot, hold: Slot, pool: &mut MemoryPool) {
+        if pool.load(f, now) {
+            self.arm_expiry(f, pool);
+        }
+        pool.hold_until(f, hold);
     }
 
     /// Seeds the pre-warm agenda at simulation start from the training
@@ -446,7 +466,6 @@ impl Policy for SpesPolicy {
     }
 
     fn on_start(&mut self, start: Slot, pool: &mut MemoryPool) {
-        self.started = true;
         // Always-warm functions are kept permanently loaded, starting from
         // the first provisioned minute.
         for i in 0..self.types.len() {
@@ -506,17 +525,15 @@ impl Policy for SpesPolicy {
                 }
             }
 
+            self.arm_expiry(f, pool);
+
             // Predict the next invocation and schedule pre-warming.
             self.schedule_predictions(f, now);
 
             // Correlated targets fire off this invocation.
             if !self.preload_on_invoke[idx].is_empty() {
                 for (tgt, link_hold) in self.preload_on_invoke[idx].clone() {
-                    pool.load(tgt, now);
-                    let hold = now.saturating_add(link_hold);
-                    if hold > self.hold_until[tgt.index()] {
-                        self.hold_until[tgt.index()] = hold;
-                    }
+                    self.prewarm(tgt, now, now.saturating_add(link_hold), pool);
                 }
             }
 
@@ -545,11 +562,7 @@ impl Policy for SpesPolicy {
                 if !targets.is_empty() {
                     let window = self.ucorr.window();
                     for tgt in targets {
-                        pool.load(tgt, now);
-                        let hold = now.saturating_add(window);
-                        if hold > self.hold_until[tgt.index()] {
-                            self.hold_until[tgt.index()] = hold;
-                        }
+                        self.prewarm(tgt, now, now.saturating_add(window), pool);
                     }
                 }
             }
@@ -559,39 +572,16 @@ impl Policy for SpesPolicy {
         // predicted slot is within reach (p - theta <= now).
         let theta = self.config.theta_prewarm;
         let reach = now.saturating_add(theta);
-        let due: Vec<Slot> = self.agenda.range(..=reach).map(|(&slot, _)| slot).collect();
-        for slot in due {
-            let entries = self.agenda.remove(&slot).expect("agenda key present");
-            for (f, hold, gen) in entries {
+        while let Some(entry) = self.agenda.first_entry() {
+            if *entry.key() > reach {
+                break;
+            }
+            for (f, hold, gen) in entry.remove() {
                 // Skip predictions superseded by a newer invocation.
                 if self.generation[f.index()] != gen || hold < now {
                     continue;
                 }
-                pool.load(f, now);
-                if hold > self.hold_until[f.index()] {
-                    self.hold_until[f.index()] = hold;
-                }
-            }
-        }
-
-        // --- 3. Eviction sweep over loaded instances (Algorithm 1,
-        // lines 14-19).
-        for f in pool.loaded().to_vec() {
-            let idx = f.index();
-            let ty = self.types[idx];
-            if ty == FunctionType::AlwaysWarm {
-                continue;
-            }
-            let invoked_now = self.last_invoked[idx] == Some(now);
-            if invoked_now || now < self.hold_until[idx] {
-                continue;
-            }
-            let idle = match self.last_invoked[idx] {
-                Some(last) => now - last,
-                None => now.saturating_sub(pool.loaded_since(f)),
-            };
-            if idle >= self.config.givenup_for(ty) {
-                pool.evict(f);
+                self.prewarm(f, now, hold, pool);
             }
         }
     }

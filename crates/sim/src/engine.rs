@@ -9,8 +9,10 @@
 //! 1. serves every invocation (emitting [`SimEvent::WarmStart`] /
 //!    [`SimEvent::ColdStart`]), force-loading cold functions and asking
 //!    the policy for victims when the pool is full;
-//! 2. invokes the policy's decision hook (timed, for the RQ2 overhead
-//!    metric);
+//! 2. invokes the policy's decision hook, then evicts the instances
+//!    whose pool deadlines have come due ([`MemoryPool::expire_at`],
+//!    [`MemoryPool::hold_until`]) — timed together, for the RQ2 overhead
+//!    metric;
 //! 3. emits [`SimEvent::SlotEnd`] with snapshot access to the pool.
 //!
 //! The slot loop itself is resumable: [`SimDriver`] owns the run state
@@ -36,7 +38,9 @@
 //! CSR index built in one counting-sort pass over the trace — so a slot
 //! in which 300 of a million functions fire costs ~300 lookups, and the
 //! span-based collectors charge idle time per transition rather than per
-//! loaded instance. Above one driver, [`crate::shard`] partitions a run
+//! loaded instance. Policies do not sweep the loaded set either: they set
+//! deadlines, and the pool finds the due instances in one sequential
+//! pass over its deadline column. Above one driver, [`crate::shard`] partitions a run
 //! by application across `std::thread::scope` workers, one `SimDriver`
 //! per shard, and merges the per-shard results into a [`RunResult`]
 //! bit-identical to the unsharded run (for app-decomposable policies on
@@ -643,11 +647,13 @@ impl<'p, 'o> SimDriver<'p, 'o> {
             }
         }
 
-        // 2. Policy decision hook (timed for the RQ2 overhead
-        // comparison); its pool transitions become policy events.
+        // 2. Policy decision hook, then the expiries it leaves due (timed
+        // together for the RQ2 overhead comparison); its pool transitions
+        // become policy events.
         // lint: allow(D002) RQ2 overhead timing only; replay's normalised() zeroes policy_secs before diffing
         let begin = Instant::now();
         self.policy.on_slot(slot, invoked, &mut self.pool);
+        self.pool.expire_due(slot);
         let policy_secs = begin.elapsed().as_secs_f64();
         self.flush(slot, measured, LoadCause::Policy, EvictCause::Policy);
 
@@ -763,7 +769,8 @@ impl<'p, 'o> SimDriver<'p, 'o> {
     /// Serialises the run's full mutable state at the current slot
     /// boundary into a versioned, checksummed binary blob: the config,
     /// the pool's loaded set (in order — eviction tie-breaks depend on
-    /// it), the slot scratch, the internal collector, the policy's
+    /// it) with each instance's expiry deadline, the holds still in the
+    /// future, the slot scratch, the internal collector, the policy's
     /// state (when it implements [`Policy::snapshot_state`]), and every
     /// owned observer's [`Observer::snapshot`] blob labelled with its
     /// concrete type name.
@@ -805,7 +812,14 @@ impl<'p, 'o> SimDriver<'p, 'o> {
         for &f in self.pool.loaded() {
             wire::put_varint(&mut payload, u64::from(f.0));
             wire::put_varint(&mut payload, u64::from(self.pool.loaded_since(f)));
+            // The deadline plus one; zero for none.
+            let deadline = self.pool.deadline_of(f).map_or(0, |d| u64::from(d) + 1);
+            wire::put_varint(&mut payload, deadline);
         }
+        let holds = self.pool.holds_after(self.next_slot);
+        let (hold_ids, holds): (Vec<u32>, Vec<Slot>) = holds.map(|(f, h)| (f.0, h)).unzip();
+        wire::put_u32s(&mut payload, &hold_ids);
+        wire::put_u32s(&mut payload, &holds);
         match &self.sinks.collector {
             Some(collector) => {
                 payload.push(1);
@@ -868,37 +882,18 @@ impl<'p, 'o> SimDriver<'p, 'o> {
         let payload = snapshot_payload(snapshot)?;
         let corrupt = SnapshotError::Corrupt;
         let mut cur = wire::Cursor::new(&payload);
-        let policy_name = cur.take_str().map_err(corrupt)?;
+        let SnapshotInfo {
+            policy_name,
+            n_functions,
+            config,
+            next_slot,
+        } = read_info(&mut cur)?;
         if policy_name != policy.name() {
             return Err(SnapshotError::PolicyMismatch {
                 expected: policy_name,
                 got: policy.name().to_owned(),
             });
         }
-        let n_functions = usize::try_from(cur.take_varint().map_err(corrupt)?)
-            .map_err(|_| SnapshotError::Corrupt("n_functions does not fit usize".to_owned()))?;
-        let take_slot = |cur: &mut wire::Cursor<'_>| -> Result<Slot, SnapshotError> {
-            let raw = cur.take_varint().map_err(SnapshotError::Corrupt)?;
-            Slot::try_from(raw)
-                .map_err(|_| SnapshotError::Corrupt(format!("slot {raw} does not fit u32")))
-        };
-        let take_opt_usize = |cur: &mut wire::Cursor<'_>| -> Result<Option<usize>, SnapshotError> {
-            cur.take_opt_u64()
-                .map_err(SnapshotError::Corrupt)?
-                .map(|v| {
-                    usize::try_from(v)
-                        .map_err(|_| SnapshotError::Corrupt(format!("{v} does not fit usize")))
-                })
-                .transpose()
-        };
-        let config = SimConfig {
-            start: take_slot(&mut cur)?,
-            end: take_slot(&mut cur)?,
-            metrics_start: take_slot(&mut cur)?,
-            capacity: take_opt_usize(&mut cur)?,
-            pressure_budget: take_opt_usize(&mut cur)?,
-        };
-        let next_slot = take_slot(&mut cur)?;
         let finished = cur.take_u8().map_err(corrupt)? != 0;
         let clear_scratch = cur.take_u8().map_err(corrupt)? != 0;
         let mut scratch = OutcomeScratch {
@@ -930,8 +925,21 @@ impl<'p, 'o> SimDriver<'p, 'o> {
             let f = u32::try_from(cur.take_varint().map_err(corrupt)?)
                 .map_err(|_| SnapshotError::Corrupt("function id does not fit u32".to_owned()))?;
             let at = take_slot(&mut cur)?;
-            entries.push((FunctionId(f), at));
+            let deadline = take_slot(&mut cur)?.checked_sub(1);
+            entries.push((FunctionId(f), at, deadline));
         }
+        let hold_ids = cur.take_u32s().map_err(corrupt)?;
+        let hold_slots = cur.take_u32s().map_err(corrupt)?;
+        if hold_ids.len() != hold_slots.len() {
+            return Err(SnapshotError::Corrupt(
+                "hold lists differ in length".to_owned(),
+            ));
+        }
+        let holds: Vec<_> = hold_ids
+            .into_iter()
+            .map(FunctionId)
+            .zip(hold_slots)
+            .collect();
         let collector = match cur.take_u8().map_err(corrupt)? {
             0 => None,
             _ => {
@@ -987,7 +995,7 @@ impl<'p, 'o> SimDriver<'p, 'o> {
         }
 
         let mut pool = MemoryPool::with_capacity(n_functions, config.capacity);
-        pool.restore_loaded(&entries)
+        pool.restore_loaded(&entries, &holds)
             .map_err(SnapshotError::Corrupt)?;
         pool.enable_journal();
         pool.set_admission_budget(config.pressure_budget);
@@ -1012,14 +1020,14 @@ impl<'p, 'o> SimDriver<'p, 'o> {
 /// Leading magic of a [`SimDriver::snapshot`] blob.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SPESSNAP";
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Why a [`SimDriver::resume_from`] rejected a snapshot blob.
 #[derive(Debug)]
 pub enum SnapshotError {
     /// The blob does not start with the snapshot magic.
     BadMagic,
-    /// The blob's format version is newer than this build understands.
+    /// The blob's format version is not the one this build reads.
     UnsupportedVersion(u32),
     /// The payload checksum did not match (torn or corrupted blob).
     Checksum,
@@ -1133,17 +1141,14 @@ pub struct SnapshotInfo {
 /// # Errors
 /// Returns a [`SnapshotError`] on foreign, corrupt, or truncated blobs.
 pub fn snapshot_info(snapshot: &[u8]) -> Result<SnapshotInfo, SnapshotError> {
-    let payload = snapshot_payload(snapshot)?;
-    let corrupt = SnapshotError::Corrupt;
-    let mut cur = wire::Cursor::new(&payload);
-    let policy_name = cur.take_str().map_err(corrupt)?;
-    let n_functions = usize::try_from(cur.take_varint().map_err(corrupt)?)
+    read_info(&mut wire::Cursor::new(&snapshot_payload(snapshot)?))
+}
+
+/// Reads a snapshot payload's leading fields, through the resume slot.
+fn read_info(cur: &mut wire::Cursor<'_>) -> Result<SnapshotInfo, SnapshotError> {
+    let policy_name = cur.take_str().map_err(SnapshotError::Corrupt)?;
+    let n_functions = usize::try_from(cur.take_varint().map_err(SnapshotError::Corrupt)?)
         .map_err(|_| SnapshotError::Corrupt("n_functions does not fit usize".to_owned()))?;
-    let take_slot = |cur: &mut wire::Cursor<'_>| -> Result<Slot, SnapshotError> {
-        let raw = cur.take_varint().map_err(SnapshotError::Corrupt)?;
-        Slot::try_from(raw)
-            .map_err(|_| SnapshotError::Corrupt(format!("slot {raw} does not fit u32")))
-    };
     let take_opt_usize = |cur: &mut wire::Cursor<'_>| -> Result<Option<usize>, SnapshotError> {
         cur.take_opt_u64()
             .map_err(SnapshotError::Corrupt)?
@@ -1154,19 +1159,23 @@ pub fn snapshot_info(snapshot: &[u8]) -> Result<SnapshotInfo, SnapshotError> {
             .transpose()
     };
     let config = SimConfig {
-        start: take_slot(&mut cur)?,
-        end: take_slot(&mut cur)?,
-        metrics_start: take_slot(&mut cur)?,
-        capacity: take_opt_usize(&mut cur)?,
-        pressure_budget: take_opt_usize(&mut cur)?,
+        start: take_slot(cur)?,
+        end: take_slot(cur)?,
+        metrics_start: take_slot(cur)?,
+        capacity: take_opt_usize(cur)?,
+        pressure_budget: take_opt_usize(cur)?,
     };
-    let next_slot = take_slot(&mut cur)?;
     Ok(SnapshotInfo {
         policy_name,
         n_functions,
         config,
-        next_slot,
+        next_slot: take_slot(cur)?,
     })
+}
+
+fn take_slot(cur: &mut wire::Cursor<'_>) -> Result<Slot, SnapshotError> {
+    let raw = cur.take_varint().map_err(SnapshotError::Corrupt)?;
+    Slot::try_from(raw).map_err(|_| SnapshotError::Corrupt(format!("slot {raw} does not fit u32")))
 }
 
 /// Runs `policy` over `trace` for the window in `config`, collecting the
@@ -1218,7 +1227,7 @@ fn make_room(policy: &mut dyn Policy, pool: &mut MemoryPool) {
 mod tests {
     use super::*;
     use crate::events::{EventLog, MemoryPressure, SlotSeries};
-    use crate::policy::{KeepForever, NoKeepAlive};
+    use crate::policy::{FixedKeepAlive, KeepForever, NoKeepAlive};
     use spes_trace::{AppId, FunctionId, FunctionMeta, SparseSeries, TriggerType, UserId};
 
     fn trace_of(series: Vec<SparseSeries>, n_slots: Slot) -> Trace {
@@ -1233,45 +1242,6 @@ mod tests {
 
     fn run_of(trace: &Trace, policy: &mut dyn Policy, config: SimConfig) -> RunResult {
         try_simulate(trace, policy, config).unwrap()
-    }
-
-    /// Keep-alive for a fixed number of slots after the last invocation —
-    /// a tiny inline policy used to validate engine accounting.
-    struct TinyKeepAlive {
-        last_invoked: Vec<Option<Slot>>,
-        keep: u32,
-    }
-
-    impl TinyKeepAlive {
-        fn new(n: usize, keep: u32) -> Self {
-            Self {
-                last_invoked: vec![None; n],
-                keep,
-            }
-        }
-    }
-
-    impl Policy for TinyKeepAlive {
-        fn name(&self) -> &str {
-            "tiny"
-        }
-
-        fn on_slot(&mut self, now: Slot, invoked: &[(FunctionId, u32)], pool: &mut MemoryPool) {
-            for &(f, _) in invoked {
-                self.last_invoked[f.index()] = Some(now);
-            }
-            for f in pool.loaded().to_vec() {
-                match self.last_invoked[f.index()] {
-                    Some(last) if now - last >= self.keep => {
-                        pool.evict(f);
-                    }
-                    None => {
-                        pool.evict(f);
-                    }
-                    _ => {}
-                }
-            }
-        }
     }
 
     #[test]
@@ -1313,9 +1283,9 @@ mod tests {
     fn tiny_keep_alive_wmt_accounting() {
         // Invocations at slots 0 and 4; keep-alive 2 slots.
         let trace = trace_of(vec![SparseSeries::from_pairs(vec![(0, 1), (4, 1)])], 8);
-        let r = run_of(&trace, &mut TinyKeepAlive::new(1, 2), SimConfig::new(0, 8));
-        // Slot 0: invoked (cold). Slot 1: idle (wmt). Slot 2: evicted at
-        // on_slot since now-last=2. Slot 4: invoked again -> cold. Slot 5
+        let r = run_of(&trace, &mut FixedKeepAlive::new(1, 2), SimConfig::new(0, 8));
+        // Slot 0: invoked (cold). Slot 1: idle (wmt). Slot 2: expired
+        // after on_slot since now-last=2. Slot 4: invoked again -> cold. Slot 5
         // idle, slot 6 evicted.
         assert_eq!(r.cold_starts[0], 2);
         assert_eq!(r.wmt[0], 2);
@@ -1327,7 +1297,7 @@ mod tests {
             vec![SparseSeries::from_pairs(vec![(0, 1), (1, 1), (2, 1)])],
             4,
         );
-        let r = run_of(&trace, &mut TinyKeepAlive::new(1, 3), SimConfig::new(0, 4));
+        let r = run_of(&trace, &mut FixedKeepAlive::new(1, 3), SimConfig::new(0, 4));
         assert_eq!(r.cold_starts[0], 1);
         assert_eq!(r.invocations[0], 3);
     }
@@ -1583,9 +1553,9 @@ mod tests {
             6,
         );
         let config = SimConfig::new(0, 6);
-        let mut batch = run_of(&trace, &mut TinyKeepAlive::new(2, 2), config);
+        let mut batch = run_of(&trace, &mut FixedKeepAlive::new(2, 2), config);
 
-        let mut policy = TinyKeepAlive::new(2, 2);
+        let mut policy = FixedKeepAlive::new(2, 2);
         let mut driver = SimDriver::new(2, config, &mut policy, Vec::new()).unwrap();
         let buckets = trace.bucket_by_slot(0, 6);
         for (t, bucket) in buckets.iter().enumerate() {

@@ -46,7 +46,7 @@ pub use journal::{
 };
 pub use memory::MemoryPool;
 pub use metrics::RunResult;
-pub use policy::{KeepForever, NoKeepAlive, Policy};
+pub use policy::{FixedKeepAlive, KeepForever, NoKeepAlive, Policy};
 pub use report::{per_category_stats, text_table, CategoryStats, NormalizedComparison};
 pub use serve::{serve, InitRecord, ServeConfig, ServeError, ServeSummary};
 pub use shard::{

@@ -4,6 +4,11 @@
 //! function instances consume one unit of memory and, by default, a single
 //! node holds arbitrarily many instances. A capacity-limited variant backs
 //! the FaaSCache baseline, which works against a fixed memory budget.
+//!
+//! The pool also owns instance expiry. A policy never sweeps the loaded
+//! set; it states when an instance may go ([`MemoryPool::expire_at`],
+//! [`MemoryPool::hold_until`]) and the engine evicts whatever is due
+//! once per slot, right after the policy's decision hook.
 
 use spes_trace::{FunctionId, Slot};
 
@@ -25,6 +30,18 @@ pub(crate) enum PoolOp {
 /// `contains`, `load`, and `evict` are O(1) and iteration over loaded
 /// functions is linear in the number of loaded instances.
 ///
+/// # Expiry
+///
+/// Each loaded instance may carry a *deadline* ([`MemoryPool::expire_at`],
+/// cleared by every load) and each function a *hold*
+/// ([`MemoryPool::hold_until`]). After every policy decision hook the
+/// engine has the pool evict each loaded instance whose `max(deadline,
+/// hold) <= now`, in ascending pool position — the order of a sweep over
+/// a copy of [`MemoryPool::loaded`] — so `loaded()` order and the
+/// [`MemoryPool::oldest_loaded`] tie-break match such a sweep. Deadlines
+/// sit in a column parallel to the loaded list, so the due set is one
+/// sequential pass (none while no deadline was ever set).
+///
 /// With journaling enabled (the engine turns it on), every effective
 /// load/evict is additionally recorded as a `PoolOp`; the engine drains
 /// the journal after each phase of a slot to emit the corresponding
@@ -45,11 +62,25 @@ pub struct MemoryPool {
     admission: Option<usize>,
     /// Slot at which each currently loaded instance was loaded.
     loaded_at: Vec<Slot>,
+    /// Expiry deadline of each loaded instance, parallel to `loaded`
+    /// (indexed by pool position, so the expiry pass reads it in order);
+    /// [`NEVER`] when none is set. Every load starts at [`NEVER`].
+    deadline: Vec<Slot>,
+    /// Per-function eviction floor; only ever rises, kept across
+    /// evictions.
+    hold: Vec<Slot>,
+    /// Whether any deadline was ever set: a pool whose policy never sets
+    /// one (keep-forever) skips the expiry pass.
+    armed: bool,
+    /// Scratch for the due set of one [`MemoryPool::expire_due`] call.
+    due: Vec<FunctionId>,
     /// Transition journal; `None` when journaling is off (the default).
     journal: Option<Vec<PoolOp>>,
 }
 
 const NO_POSITION: u32 = u32::MAX;
+/// The deadline of an instance that never expires.
+const NEVER: Slot = Slot::MAX;
 
 impl MemoryPool {
     /// Creates an empty pool for `n_functions` functions with unlimited
@@ -70,6 +101,10 @@ impl MemoryPool {
             capacity,
             admission: None,
             loaded_at: vec![0; n_functions],
+            deadline: Vec::new(),
+            hold: vec![0; n_functions],
+            armed: false,
+            due: Vec::new(),
             journal: None,
         }
     }
@@ -174,6 +209,7 @@ impl MemoryPool {
         self.member[f.index()] = true;
         self.position[f.index()] = self.loaded.len() as u32;
         self.loaded.push(f);
+        self.deadline.push(NEVER);
         self.loaded_at[f.index()] = now;
         self.record(PoolOp::Load(f));
     }
@@ -184,15 +220,66 @@ impl MemoryPool {
             return false;
         }
         let pos = self.position[f.index()] as usize;
-        let last = *self.loaded.last().expect("non-empty loaded list");
         self.loaded.swap_remove(pos);
-        if pos < self.loaded.len() {
-            self.position[last.index()] = pos as u32;
+        self.deadline.swap_remove(pos);
+        if let Some(&moved) = self.loaded.get(pos) {
+            self.position[moved.index()] = pos as u32;
         }
         self.member[f.index()] = false;
         self.position[f.index()] = NO_POSITION;
         self.record(PoolOp::Evict(f));
         true
+    }
+
+    /// Sets the expiry deadline of loaded instance `f`: under the engine
+    /// it is evicted at the end of the first slot `now >= slot` (and at
+    /// or after its hold, see [`MemoryPool::hold_until`]). The deadline
+    /// may be lowered as well as raised; a `slot` already in the past
+    /// expires the instance this slot. When `f` is not loaded the call
+    /// has no effect — the next load starts without a deadline.
+    pub fn expire_at(&mut self, f: FunctionId, slot: Slot) {
+        if let Some(deadline) = self.deadline.get_mut(self.position[f.index()] as usize) {
+            *deadline = slot;
+            self.armed = true;
+        }
+    }
+
+    /// Raises `f`'s hold to `slot`: no deadline evicts it before then.
+    /// The hold only ever rises, applies whether or not `f` is loaded,
+    /// and survives evictions, so it also protects a later reload.
+    pub fn hold_until(&mut self, f: FunctionId, slot: Slot) {
+        let hold = &mut self.hold[f.index()];
+        *hold = (*hold).max(slot);
+    }
+
+    /// The deadline of loaded `f`, not counting its hold (snapshot
+    /// internal).
+    pub(crate) fn deadline_of(&self, f: FunctionId) -> Option<Slot> {
+        let deadline = *self.deadline.get(self.position[f.index()] as usize)?;
+        (deadline != NEVER).then_some(deadline)
+    }
+
+    /// Evicts every loaded instance whose expiry is at or before `now`,
+    /// in ascending pool position (engine-internal: called once per slot
+    /// right after the policy's decision hook, so the evictions are
+    /// journalled as policy evictions).
+    pub(crate) fn expire_due(&mut self, now: Slot) {
+        if !self.armed {
+            return;
+        }
+        // One in-order pass over the deadline column: the due set comes
+        // out in position order and is evicted after the pass.
+        let mut due = std::mem::take(&mut self.due);
+        for (&f, &deadline) in self.loaded.iter().zip(&self.deadline) {
+            if deadline <= now && deadline != NEVER && self.hold[f.index()] <= now {
+                due.push(f);
+            }
+        }
+        for &f in &due {
+            self.evict(f);
+        }
+        due.clear();
+        self.due = due;
     }
 
     /// The longest-loaded instance (ties broken by the pool's internal
@@ -222,6 +309,7 @@ impl MemoryPool {
 
     /// Evicts everything.
     pub fn clear(&mut self) {
+        self.deadline.clear();
         for f in std::mem::take(&mut self.loaded) {
             self.member[f.index()] = false;
             self.position[f.index()] = NO_POSITION;
@@ -229,8 +317,22 @@ impl MemoryPool {
         }
     }
 
-    /// Rebuilds the loaded set from snapshot `(function, loaded_at)`
-    /// entries, in exactly the given order (snapshot-restore internal).
+    /// Holds that still matter at slot `from` (those after it), as
+    /// `(function, hold)` pairs in function order — the hold half of a
+    /// snapshot (a hold at or before the next stepped slot can no longer
+    /// delay an eviction).
+    pub(crate) fn holds_after(&self, from: Slot) -> impl Iterator<Item = (FunctionId, Slot)> + '_ {
+        self.hold
+            .iter()
+            .enumerate()
+            .filter(move |&(_, &h)| h > from)
+            .map(|(i, &h)| (FunctionId(i as u32), h))
+    }
+
+    /// Rebuilds the loaded set from snapshot `(function, loaded_at,
+    /// deadline)` entries, in exactly the given order, plus the holds
+    /// from [`MemoryPool::holds_after`] (snapshot-restore internal, on a
+    /// fresh pool).
     ///
     /// Preserving insertion order matters: [`MemoryPool::oldest_loaded`]
     /// breaks load-slot ties by internal order, so a resumed run only
@@ -241,7 +343,11 @@ impl MemoryPool {
     /// # Errors
     /// Rejects out-of-range ids, duplicates, and entry counts beyond the
     /// pool's capacity.
-    pub(crate) fn restore_loaded(&mut self, entries: &[(FunctionId, Slot)]) -> Result<(), String> {
+    pub(crate) fn restore_loaded(
+        &mut self,
+        entries: &[(FunctionId, Slot, Option<Slot>)],
+        holds: &[(FunctionId, Slot)],
+    ) -> Result<(), String> {
         if self.capacity.is_some_and(|c| entries.len() > c) {
             return Err(format!(
                 "snapshot holds {} loaded instances but the pool capacity is {:?}",
@@ -249,17 +355,18 @@ impl MemoryPool {
                 self.capacity
             ));
         }
-        for f in std::mem::take(&mut self.loaded) {
-            self.member[f.index()] = false;
-            self.position[f.index()] = NO_POSITION;
+        let n = self.member.len();
+        let out_of_range =
+            |f: FunctionId| format!("snapshot names function {} but the pool tracks {n}", f.0);
+        for &(f, h) in holds {
+            if f.index() >= n {
+                return Err(out_of_range(f));
+            }
+            self.hold[f.index()] = h;
         }
-        for &(f, at) in entries {
-            if f.index() >= self.member.len() {
-                return Err(format!(
-                    "snapshot loads function {} but the pool tracks {}",
-                    f.0,
-                    self.member.len()
-                ));
+        for &(f, at, deadline) in entries {
+            if f.index() >= n {
+                return Err(out_of_range(f));
             }
             if self.member[f.index()] {
                 return Err(format!("snapshot loads function {} twice", f.0));
@@ -267,7 +374,9 @@ impl MemoryPool {
             self.member[f.index()] = true;
             self.position[f.index()] = self.loaded.len() as u32;
             self.loaded.push(f);
+            self.deadline.push(deadline.unwrap_or(NEVER));
             self.loaded_at[f.index()] = at;
+            self.armed |= deadline.is_some();
         }
         Ok(())
     }
@@ -276,6 +385,86 @@ impl MemoryPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// After random loads, deadlines, holds and evictions, the
+        /// evictions `expire_due` journals and the `loaded()` order it
+        /// leaves equal those of a reference sweep over a copy of
+        /// `loaded()`, which evicts what a test-local model says is due.
+        #[test]
+        fn expire_due_matches_a_sweep_over_loaded(
+            ops in prop::collection::vec((0u32..16, 0u8..4, 0u32..40), 0..80),
+            now in 0u32..40,
+        ) {
+            let mut pool = MemoryPool::unbounded(16);
+            let (mut deadline, mut hold) = (vec![None; 16], vec![0; 16]);
+            for (f, kind, slot) in ops {
+                let (id, i) = (FunctionId(f), f as usize);
+                match kind {
+                    0 => {
+                        if pool.load(id, slot) {
+                            deadline[i] = None;
+                        }
+                    }
+                    1 => {
+                        if pool.contains(id) {
+                            deadline[i] = Some(slot);
+                        }
+                        pool.expire_at(id, slot);
+                    }
+                    2 => {
+                        hold[i] = hold[i].max(slot);
+                        pool.hold_until(id, slot);
+                    }
+                    _ => {
+                        pool.evict(id);
+                    }
+                }
+            }
+            pool.enable_journal();
+            let mut reference = pool.clone();
+            for f in reference.loaded().to_vec() {
+                let i = f.index();
+                if deadline[i].is_some_and(|d: Slot| d.max(hold[i]) <= now) {
+                    reference.evict(f);
+                }
+            }
+            pool.expire_due(now);
+            let (mut ops, mut expected) = (Vec::new(), Vec::new());
+            pool.drain_journal_into(&mut ops);
+            reference.drain_journal_into(&mut expected);
+            prop_assert_eq!(ops, expected);
+            prop_assert_eq!(pool.loaded(), reference.loaded());
+        }
+    }
+
+    #[test]
+    fn expiry_is_the_later_of_deadline_and_hold() {
+        let mut pool = MemoryPool::unbounded(3);
+        let f = FunctionId(1);
+        // Holds apply to unloaded functions and never fall.
+        pool.hold_until(f, 6);
+        pool.hold_until(f, 3);
+        pool.load(f, 2);
+        pool.expire_due(50); // no deadline: never expires
+        assert!(pool.contains(f));
+        pool.expire_at(f, 90);
+        pool.expire_at(f, 1); // deadlines may fall again
+        assert_eq!(pool.deadline_of(f), Some(1));
+        pool.expire_due(5);
+        assert!(pool.contains(f));
+        pool.hold_until(f, 7);
+        pool.expire_due(7);
+        assert!(!pool.contains(f));
+        // A deadline set while unloaded is ignored; a reload starts
+        // without one.
+        pool.expire_at(f, 0);
+        pool.load(f, 8);
+        assert_eq!(pool.deadline_of(f), None);
+    }
 
     #[test]
     fn load_and_contains() {

@@ -23,8 +23,14 @@ pub trait Policy {
     /// starts are charged by the engine at that point).
     ///
     /// `invoked` lists `(function, count)` for every function invoked at
-    /// `now`. The policy updates its internal state and may evict idle
-    /// instances or pre-load instances for predicted future invocations.
+    /// `now`. The policy updates its internal state, may pre-load
+    /// instances for predicted future invocations, and states when
+    /// instances may go: [`MemoryPool::expire_at`] sets a deadline (every
+    /// load clears it; without one an instance stays), and
+    /// [`MemoryPool::hold_until`] a floor that only rises. Right after
+    /// this hook, inside the same timed region, the engine evicts every
+    /// loaded instance whose `max(deadline, hold) <= now`, in ascending
+    /// pool position, as policy evictions.
     fn on_slot(&mut self, now: Slot, invoked: &[(FunctionId, u32)], pool: &mut MemoryPool);
 
     /// Called by the engine when an invoked function must be loaded into a
@@ -91,11 +97,56 @@ impl Policy for NoKeepAlive {
         "no-keep-alive"
     }
 
-    fn on_slot(&mut self, _now: Slot, _invoked: &[(FunctionId, u32)], pool: &mut MemoryPool) {
-        // Evict everything that is loaded; invoked functions were loaded by
-        // the engine this slot and are dropped immediately after serving.
-        for f in pool.loaded().to_vec() {
-            pool.evict(f);
+    fn on_slot(&mut self, now: Slot, invoked: &[(FunctionId, u32)], pool: &mut MemoryPool) {
+        // Every loaded instance was invoked this slot: drop it now.
+        for &(f, _) in invoked {
+            pool.expire_at(f, now);
+        }
+    }
+
+    fn snapshot_state(&self) -> Option<Vec<u8>> {
+        Some(Vec::new())
+    }
+}
+
+/// The fixed keep-alive baseline (the paper's simplest): an instance stays
+/// loaded for a fixed number of minutes after its last invocation — 10 in
+/// the paper, the AWS Lambda / OpenWhisk default. Each invocation moves
+/// the deadline to `now + keep_alive`; the policy itself is stateless.
+#[derive(Debug, Clone)]
+pub struct FixedKeepAlive {
+    keep_alive: u32,
+}
+
+impl FixedKeepAlive {
+    /// Creates the policy with the given keep-alive window in minutes (the
+    /// function count is unused: expiry state lives in the pool).
+    #[must_use]
+    pub fn new(_n_functions: usize, keep_alive: u32) -> Self {
+        Self { keep_alive }
+    }
+
+    /// The paper's configuration: a 10-minute keep-alive.
+    #[must_use]
+    pub fn paper_default(n_functions: usize) -> Self {
+        Self::new(n_functions, 10)
+    }
+
+    /// The configured keep-alive window.
+    #[must_use]
+    pub fn keep_alive(&self) -> u32 {
+        self.keep_alive
+    }
+}
+
+impl Policy for FixedKeepAlive {
+    fn name(&self) -> &str {
+        "fixed-keep-alive"
+    }
+
+    fn on_slot(&mut self, now: Slot, invoked: &[(FunctionId, u32)], pool: &mut MemoryPool) {
+        for &(f, _) in invoked {
+            pool.expire_at(f, now.saturating_add(self.keep_alive));
         }
     }
 
@@ -131,7 +182,8 @@ mod tests {
         let mut pool = MemoryPool::unbounded(3);
         pool.load(FunctionId(0), 0);
         pool.load(FunctionId(2), 0);
-        NoKeepAlive.on_slot(0, &[], &mut pool);
+        NoKeepAlive.on_slot(0, &[(FunctionId(0), 1), (FunctionId(2), 4)], &mut pool);
+        pool.expire_due(0);
         assert_eq!(pool.loaded_count(), 0);
     }
 
@@ -139,7 +191,8 @@ mod tests {
     fn keep_forever_keeps() {
         let mut pool = MemoryPool::unbounded(3);
         pool.load(FunctionId(1), 0);
-        KeepForever.on_slot(5, &[], &mut pool);
+        KeepForever.on_slot(5, &[(FunctionId(1), 1)], &mut pool);
+        pool.expire_due(5);
         assert!(pool.contains(FunctionId(1)));
     }
 

@@ -10,103 +10,15 @@
 //! Only the wall-clock policy-overhead stopwatch is exempt (normalised
 //! to zero on both sides before comparison).
 
+mod common;
+
+use common::{make_policy, trace_strategy};
 use proptest::prelude::*;
 use spes_sim::{
-    try_simulate, ClusterObserver, DynObserver, EventLog, MemoryPool, MemoryPressure,
-    PlacementStrategy, Policy, SimConfig, SimDriver, SimEvent, Simulation,
+    try_simulate, ClusterObserver, DynObserver, EventLog, MemoryPressure, PlacementStrategy,
+    SimConfig, SimDriver, SimEvent, Simulation,
 };
-use spes_trace::{AppId, FunctionId, FunctionMeta, Slot, SparseSeries, Trace, TriggerType, UserId};
-
-fn trace_strategy(n_functions: usize, horizon: Slot) -> impl Strategy<Value = Trace> {
-    prop::collection::vec(
-        prop::collection::vec((0..horizon, 1u32..20), 0..40),
-        n_functions,
-    )
-    .prop_map(move |all| {
-        let meta = FunctionMeta {
-            app: AppId(0),
-            user: UserId(0),
-            trigger: TriggerType::Http,
-        };
-        let series = all.into_iter().map(SparseSeries::from_pairs).collect();
-        Trace::new(horizon, vec![meta; n_functions], series)
-    })
-}
-
-/// Keep-alive for a fixed number of slots after the last invocation.
-struct FixedKeepAlive {
-    last_invoked: Vec<Option<Slot>>,
-    keep: u32,
-}
-
-impl FixedKeepAlive {
-    fn new(n: usize, keep: u32) -> Self {
-        Self {
-            last_invoked: vec![None; n],
-            keep,
-        }
-    }
-}
-
-impl Policy for FixedKeepAlive {
-    fn name(&self) -> &str {
-        "fixed-keep-alive"
-    }
-
-    fn on_slot(&mut self, now: Slot, invoked: &[(FunctionId, u32)], pool: &mut MemoryPool) {
-        for &(f, _) in invoked {
-            self.last_invoked[f.index()] = Some(now);
-        }
-        for f in pool.loaded().to_vec() {
-            match self.last_invoked[f.index()] {
-                Some(last) if now - last >= self.keep => {
-                    pool.evict(f);
-                }
-                None => {
-                    pool.evict(f);
-                }
-                _ => {}
-            }
-        }
-    }
-}
-
-/// Pre-warms a rotating window of functions on top of fixed keep-alive
-/// eviction — exercises pressure-admission rejections and, under a hard
-/// capacity, the engine's make-room fallback.
-struct ChurningPrewarm {
-    keep: FixedKeepAlive,
-    width: u32,
-}
-
-impl Policy for ChurningPrewarm {
-    fn name(&self) -> &str {
-        "churning-prewarm"
-    }
-
-    fn on_slot(&mut self, now: Slot, invoked: &[(FunctionId, u32)], pool: &mut MemoryPool) {
-        let n = pool.n_functions() as u32;
-        for i in 0..self.width.min(n) {
-            if pool.is_full() {
-                break;
-            }
-            pool.load(FunctionId((now + i) % n), now);
-        }
-        self.keep.on_slot(now, invoked, pool);
-    }
-}
-
-fn make_policy(kind: u8, n: usize, keep: u32) -> Box<dyn Policy> {
-    match kind {
-        0 => Box::new(spes_sim::NoKeepAlive),
-        1 => Box::new(spes_sim::KeepForever),
-        2 => Box::new(FixedKeepAlive::new(n, keep)),
-        _ => Box::new(ChurningPrewarm {
-            keep: FixedKeepAlive::new(n, keep),
-            width: 3,
-        }),
-    }
-}
+use spes_trace::{AppId, FunctionMeta, Slot, SparseSeries, Trace, TriggerType, UserId};
 
 /// The wall-clock stopwatch inside `SlotEnd` is the one non-reproducible
 /// bit of the stream; zero it on both sides.
@@ -227,7 +139,7 @@ proptest! {
     /// Unlimited-memory runs, with and without a warm-up window.
     #[test]
     fn stepping_matches_batch_unlimited(
-        trace in trace_strategy(6, 40),
+        trace in trace_strategy(6, 40, 40, 1),
         kind in 0u8..4,
         keep in 1u32..6,
         warmup in 0u32..10,
@@ -241,7 +153,7 @@ proptest! {
     /// loop.
     #[test]
     fn stepping_matches_batch_with_capacity(
-        trace in trace_strategy(6, 40),
+        trace in trace_strategy(6, 40, 40, 1),
         kind in 0u8..4,
         keep in 1u32..6,
         capacity in 1usize..4,
@@ -254,7 +166,7 @@ proptest! {
     /// emitted at the same points of the stream.
     #[test]
     fn stepping_matches_batch_with_admission_budget(
-        trace in trace_strategy(6, 40),
+        trace in trace_strategy(6, 40, 40, 1),
         kind in 0u8..4,
         keep in 1u32..6,
         budget in 1usize..4,
@@ -269,7 +181,7 @@ proptest! {
     /// capacity-limited, and admission-limited configs.
     #[test]
     fn observer_combos_match_between_batch_and_stepped(
-        trace in trace_strategy(6, 40),
+        trace in trace_strategy(6, 40, 40, 1),
         kind in 0u8..4,
         keep in 1u32..6,
         mode in 0u8..3,

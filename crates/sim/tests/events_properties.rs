@@ -10,105 +10,13 @@
 //! definition, these properties would catch it on random traces ×
 //! {no-keep-alive, keep-forever, fixed-keep-alive} policies.
 
+mod common;
+
+use common::{make_policy, trace_strategy};
 use proptest::prelude::*;
-use spes_sim::{
-    EventLog, LoadCause, MemoryPool, Policy, RunCollector, SimConfig, SimEvent, Simulation,
-    SlotSeries,
-};
-use spes_trace::{AppId, FunctionId, FunctionMeta, Slot, SparseSeries, Trace, TriggerType, UserId};
+use spes_sim::{EventLog, LoadCause, RunCollector, SimConfig, SimEvent, Simulation, SlotSeries};
+use spes_trace::FunctionId;
 use std::collections::HashSet;
-
-fn trace_strategy(n_functions: usize, horizon: Slot) -> impl Strategy<Value = Trace> {
-    prop::collection::vec(
-        prop::collection::vec((0..horizon, 1u32..20), 0..40),
-        n_functions,
-    )
-    .prop_map(move |all| {
-        let meta = FunctionMeta {
-            app: AppId(0),
-            user: UserId(0),
-            trigger: TriggerType::Http,
-        };
-        let series = all.into_iter().map(SparseSeries::from_pairs).collect();
-        Trace::new(horizon, vec![meta; n_functions], series)
-    })
-}
-
-/// Keep-alive for a fixed number of slots after the last invocation.
-struct FixedKeepAlive {
-    last_invoked: Vec<Option<Slot>>,
-    keep: u32,
-}
-
-impl FixedKeepAlive {
-    fn new(n: usize, keep: u32) -> Self {
-        Self {
-            last_invoked: vec![None; n],
-            keep,
-        }
-    }
-}
-
-impl Policy for FixedKeepAlive {
-    fn name(&self) -> &str {
-        "fixed-keep-alive"
-    }
-
-    fn on_slot(&mut self, now: Slot, invoked: &[(FunctionId, u32)], pool: &mut MemoryPool) {
-        for &(f, _) in invoked {
-            self.last_invoked[f.index()] = Some(now);
-        }
-        for f in pool.loaded().to_vec() {
-            match self.last_invoked[f.index()] {
-                Some(last) if now - last >= self.keep => {
-                    pool.evict(f);
-                }
-                None => {
-                    pool.evict(f);
-                }
-                _ => {}
-            }
-        }
-    }
-}
-
-/// Aggressively pre-warms a rotating window of functions each slot on
-/// top of fixed keep-alive eviction — churny enough to exercise
-/// admission control from both sides (loads racing the budget, evictions
-/// re-opening headroom).
-struct ChurningPrewarm {
-    keep: FixedKeepAlive,
-    width: u32,
-}
-
-impl Policy for ChurningPrewarm {
-    fn name(&self) -> &str {
-        "churning-prewarm"
-    }
-
-    fn on_slot(&mut self, now: Slot, invoked: &[(FunctionId, u32)], pool: &mut MemoryPool) {
-        let n = pool.n_functions() as u32;
-        for i in 0..self.width.min(n) {
-            if pool.is_full() {
-                break;
-            }
-            pool.load(FunctionId((now + i) % n), now);
-        }
-        self.keep.on_slot(now, invoked, pool);
-    }
-}
-
-fn make_policy(kind: u8, n: usize, keep: u32) -> Box<dyn Policy> {
-    match kind {
-        0 => Box::new(spes_sim::NoKeepAlive),
-        1 => Box::new(spes_sim::KeepForever),
-        2 => Box::new(FixedKeepAlive::new(n, keep)),
-        _ => Box::new(ChurningPrewarm {
-            keep: FixedKeepAlive::new(n, keep),
-            width: 3,
-        }),
-    }
-}
 
 /// The old per-slot accounting, re-derived purely from a recorded event
 /// stream (no pool access).
@@ -192,7 +100,7 @@ proptest! {
 
     #[test]
     fn event_stream_reconstructs_the_run_result(
-        trace in trace_strategy(10, 120),
+        trace in trace_strategy(10, 120, 40, 1),
         kind in 0u8..3,
         keep in 1u32..8,
         split in 0u32..120,
@@ -221,7 +129,7 @@ proptest! {
 
     #[test]
     fn event_stream_reconstructs_capacity_limited_runs(
-        trace in trace_strategy(10, 80),
+        trace in trace_strategy(10, 80, 40, 1),
         cap in 1usize..8,
     ) {
         let mut policy = spes_sim::KeepForever;
@@ -242,7 +150,7 @@ proptest! {
 
     #[test]
     fn admission_control_reconstructs_and_respects_the_budget(
-        trace in trace_strategy(10, 100),
+        trace in trace_strategy(10, 100, 40, 1),
         kind in 0u8..4,
         budget in 0usize..6,
         cap_raw in 0usize..9,
@@ -310,7 +218,7 @@ proptest! {
 
     #[test]
     fn slot_series_totals_match_the_run(
-        trace in trace_strategy(8, 100),
+        trace in trace_strategy(8, 100, 40, 1),
         kind in 0u8..3,
     ) {
         let mut policy = make_policy(kind, trace.n_functions(), 3);

@@ -6,115 +6,24 @@
 //!
 //! The cut is exhaustive, not sampled: each property case replays the
 //! run once per possible boundary (including slot 0, before any step,
-//! and the final boundary, after the last step). Policies with live
-//! in-memory state (`FixedKeepAlive`, `ChurningPrewarm`) are carried
+//! and the final boundary, after the last step). The policy is carried
 //! across the cut as the same instance — the crash-resume contract is
-//! that the *driver* state round-trips through bytes while the caller
-//! supplies an equivalently-warmed policy. Only the wall-clock
-//! stopwatches (`SlotEnd::policy_secs`, `RunResult::overhead_secs`) are
-//! normalised before comparison.
+//! that the *driver* state, including the pool's expiry deadlines and
+//! holds, round-trips through bytes while the caller supplies an
+//! equivalently-warmed policy (`ChurningPrewarm` declares no snapshot
+//! state, so it takes that path). Only the wall-clock stopwatches
+//! (`SlotEnd::policy_secs`, `RunResult::overhead_secs`) are normalised
+//! before comparison.
 
+mod common;
+
+use common::{make_policy, trace_strategy};
 use proptest::prelude::*;
 use spes_sim::{
-    ClusterObserver, ClusterReport, DynObserver, EventLog, EvictionAudit, Fairness, MemoryPool,
-    MemoryPressure, PlacementStrategy, Policy, SimConfig, SimDriver, SimEvent, SlotSeries,
-    SnapshotError,
+    ClusterObserver, ClusterReport, DynObserver, EventLog, EvictionAudit, Fairness, FixedKeepAlive,
+    MemoryPressure, PlacementStrategy, SimConfig, SimDriver, SimEvent, SlotSeries, SnapshotError,
 };
-use spes_trace::{AppId, FunctionId, FunctionMeta, Slot, SparseSeries, Trace, TriggerType, UserId};
-
-fn trace_strategy(n_functions: usize, horizon: Slot) -> impl Strategy<Value = Trace> {
-    prop::collection::vec(
-        prop::collection::vec((0..horizon, 1u32..20), 0..24),
-        n_functions,
-    )
-    .prop_map(move |all| {
-        let metas = (0..n_functions)
-            .map(|i| FunctionMeta {
-                app: AppId(i as u32 % 2),
-                user: UserId(0),
-                trigger: TriggerType::Http,
-            })
-            .collect();
-        let series = all.into_iter().map(SparseSeries::from_pairs).collect();
-        Trace::new(horizon, metas, series)
-    })
-}
-
-/// Keep-alive for a fixed number of slots after the last invocation —
-/// deliberately *without* `snapshot_state`, so the property also covers
-/// the caller-warmed-policy path of the resume contract.
-struct FixedKeepAlive {
-    last_invoked: Vec<Option<Slot>>,
-    keep: u32,
-}
-
-impl FixedKeepAlive {
-    fn new(n: usize, keep: u32) -> Self {
-        Self {
-            last_invoked: vec![None; n],
-            keep,
-        }
-    }
-}
-
-impl Policy for FixedKeepAlive {
-    fn name(&self) -> &str {
-        "fixed-keep-alive"
-    }
-
-    fn on_slot(&mut self, now: Slot, invoked: &[(FunctionId, u32)], pool: &mut MemoryPool) {
-        for &(f, _) in invoked {
-            self.last_invoked[f.index()] = Some(now);
-        }
-        for f in pool.loaded().to_vec() {
-            match self.last_invoked[f.index()] {
-                Some(last) if now - last >= self.keep => {
-                    pool.evict(f);
-                }
-                None => {
-                    pool.evict(f);
-                }
-                _ => {}
-            }
-        }
-    }
-}
-
-/// Pre-warms a rotating window on top of fixed keep-alive eviction, so
-/// capacity fallbacks and admission rejections fire mid-slot.
-struct ChurningPrewarm {
-    keep: FixedKeepAlive,
-    width: u32,
-}
-
-impl Policy for ChurningPrewarm {
-    fn name(&self) -> &str {
-        "churning-prewarm"
-    }
-
-    fn on_slot(&mut self, now: Slot, invoked: &[(FunctionId, u32)], pool: &mut MemoryPool) {
-        let n = pool.n_functions() as u32;
-        for i in 0..self.width.min(n) {
-            if pool.is_full() {
-                break;
-            }
-            pool.load(FunctionId((now + i) % n), now);
-        }
-        self.keep.on_slot(now, invoked, pool);
-    }
-}
-
-fn make_policy(kind: u8, n: usize, keep: u32) -> Box<dyn Policy> {
-    match kind {
-        0 => Box::new(spes_sim::NoKeepAlive),
-        1 => Box::new(spes_sim::KeepForever),
-        2 => Box::new(FixedKeepAlive::new(n, keep)),
-        _ => Box::new(ChurningPrewarm {
-            keep: FixedKeepAlive::new(n, keep),
-            width: 3,
-        }),
-    }
-}
+use spes_trace::{AppId, FunctionMeta, Slot, SparseSeries, Trace, TriggerType, UserId};
 
 fn normalised_events(log: &EventLog) -> Vec<(Slot, bool, SimEvent)> {
     log.events
@@ -259,7 +168,7 @@ proptest! {
     /// that the resumed run must keep attributing correctly.
     #[test]
     fn snapshot_resume_is_bit_identical_unlimited(
-        trace in trace_strategy(5, 24),
+        trace in trace_strategy(5, 24, 24, 2),
         kind in 0u8..4,
         keep in 1u32..6,
         warmup in 0u32..8,
@@ -272,7 +181,7 @@ proptest! {
     /// fallback's oldest-loaded tie-break) must survive the round-trip.
     #[test]
     fn snapshot_resume_is_bit_identical_with_capacity(
-        trace in trace_strategy(5, 24),
+        trace in trace_strategy(5, 24, 24, 2),
         kind in 0u8..4,
         keep in 1u32..6,
         capacity in 1usize..4,
@@ -285,7 +194,7 @@ proptest! {
     /// counters round-trip.
     #[test]
     fn snapshot_resume_is_bit_identical_with_admission_budget(
-        trace in trace_strategy(5, 24),
+        trace in trace_strategy(5, 24, 24, 2),
         kind in 0u8..4,
         keep in 1u32..6,
         budget in 1usize..4,
@@ -332,13 +241,16 @@ fn snapshot_rejects_foreign_bytes_and_tampering() {
         Err(SnapshotError::BadMagic)
     ));
 
-    // Future version: magic intact, version bumped.
-    let mut future = snap.clone();
-    future[8..12].copy_from_slice(&2u32.to_le_bytes());
-    assert!(matches!(
-        SimDriver::resume_from(&future, &mut policy, Vec::new()),
-        Err(SnapshotError::UnsupportedVersion(2))
-    ));
+    // Other versions, magic intact: a v1 blob (no expiry state) and a
+    // future one.
+    for version in [1u32, 3] {
+        let mut other = snap.clone();
+        other[8..12].copy_from_slice(&version.to_le_bytes());
+        assert!(matches!(
+            SimDriver::resume_from(&other, &mut policy, Vec::new()),
+            Err(SnapshotError::UnsupportedVersion(v)) if v == version
+        ));
+    }
 
     // A flipped payload byte fails the checksum, not the decoder.
     let mut corrupt = snap.clone();
@@ -428,4 +340,42 @@ fn snapshot_before_first_step_preserves_prestart_loads() {
 
     assert_eq!(result, ref_result);
     assert_eq!(normalised_events(&log), normalised_events(&ref_log));
+}
+
+/// Fixed keep-alive keeps its expiry state in the pool, so a run resumed
+/// mid-way from the bytes alone, with a fresh policy and no re-driven
+/// prefix, continues exactly like the straight run.
+#[test]
+fn fixed_keep_alive_resumes_with_a_fresh_policy() {
+    let buckets = tiny_trace().bucket_by_slot(0, 6);
+    let config = SimConfig::new(0, 6);
+    let log = || -> Vec<Box<dyn DynObserver>> { vec![Box::new(EventLog::new())] };
+    let run = |driver: &mut SimDriver<'_, '_>, from: usize| {
+        for (t, bucket) in buckets.iter().enumerate().skip(from) {
+            driver.step(t as Slot, bucket).unwrap();
+        }
+        driver
+            .observer::<EventLog>()
+            .map(normalised_events)
+            .unwrap()
+    };
+
+    let mut policy = FixedKeepAlive::new(2, 2);
+    let mut straight = SimDriver::new(2, config, &mut policy, log()).unwrap();
+    run(&mut straight, 0);
+    let mut prefix_policy = FixedKeepAlive::new(2, 2);
+    let mut prefix = SimDriver::new(2, config, &mut prefix_policy, log()).unwrap();
+    for (t, bucket) in buckets.iter().enumerate().take(2) {
+        prefix.step(t as Slot, bucket).unwrap();
+    }
+    // Both instances are loaded here, with deadlines 2 and 3.
+    let snap = prefix.snapshot();
+
+    let mut fresh = FixedKeepAlive::new(2, 2);
+    let mut resumed = SimDriver::resume_from(&snap, &mut fresh, log()).unwrap();
+    assert_eq!(run(&mut resumed, 2), run(&mut straight, 6));
+    let (mut a, mut b) = (resumed.finish(), straight.finish());
+    a.overhead_secs = 0.0;
+    b.overhead_secs = 0.0;
+    assert_eq!(a, b);
 }

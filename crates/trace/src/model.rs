@@ -212,12 +212,12 @@ impl SparseSeries {
         &self.events
     }
 
-    /// Events within `[start, end)`.
+    /// Events within `[start, end)`; empty when `end <= start`.
     #[must_use]
     pub fn events_in(&self, start: Slot, end: Slot) -> &[(Slot, u32)] {
         let lo = self.events.partition_point(|&(s, _)| s < start);
         let hi = self.events.partition_point(|&(s, _)| s < end);
-        &self.events[lo..hi]
+        self.events.get(lo..hi).unwrap_or_default()
     }
 
     /// First invoked slot, if any.
@@ -657,6 +657,8 @@ mod tests {
         assert_eq!(s.events_in(3, 8), &[(3, 1), (5, 1)]);
         assert_eq!(s.events_in(0, 100), s.events());
         assert!(s.events_in(6, 8).is_empty());
+        // Inverted bounds are empty, even with events between them.
+        assert!(s.events_in(10, 7).is_empty());
     }
 
     #[test]

@@ -289,6 +289,15 @@ mod tests {
     }
 
     #[test]
+    fn chained_segment_shorter_than_its_lag_is_empty() {
+        // The segment [10, 12) minus the lag 5 leaves the inverted parent
+        // window [10, 7), with a parent event inside [7, 10).
+        let parent = SparseSeries::from_pairs(vec![(8, 1), (11, 1)]);
+        let child = generate_chained(&parent, 5, 1.0, 10, 12, &mut rng());
+        assert!(child.events().is_empty());
+    }
+
+    #[test]
     fn always_warm_covers_nearly_every_slot() {
         let s = generate(&Archetype::AlwaysWarm, 0, 2000, &mut rng());
         assert!(s.active_slots() as f64 >= 0.995 * 2000.0);
