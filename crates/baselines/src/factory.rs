@@ -187,6 +187,6 @@ mod tests {
             ..SynthConfig::default()
         });
         let out = run_suite(&data, &[PolicySpec::new(OracleFactory::default())]).unwrap();
-        assert_eq!(out.run_of("oracle").total_cold_starts(), 0);
+        assert_eq!(out.try_run_of("oracle").unwrap().total_cold_starts(), 0);
     }
 }

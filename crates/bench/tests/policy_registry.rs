@@ -42,10 +42,10 @@ fn every_registered_policy_runs_green_on_the_quick_scenario() {
     }
     // The brackets bracket: the clairvoyant oracle and the keep-forever
     // bound never cold-start more than the always-evict bound.
-    assert_eq!(out.run_of("oracle").total_cold_starts(), 0);
+    assert_eq!(out.try_run_of("oracle").unwrap().total_cold_starts(), 0);
     assert!(
-        out.run_of("keep-forever").total_cold_starts()
-            <= out.run_of("no-keep-alive").total_cold_starts()
+        out.try_run_of("keep-forever").unwrap().total_cold_starts()
+            <= out.try_run_of("no-keep-alive").unwrap().total_cold_starts()
     );
 }
 

@@ -1196,15 +1196,6 @@ pub fn try_simulate(
     Ok(collector.into_result())
 }
 
-/// Runs `policy` over `trace` for the window in `config`.
-///
-/// # Panics
-/// Panics if the window is invalid or extends beyond the trace horizon.
-#[deprecated(note = "use `try_simulate` and handle the `SimError` instead of panicking")]
-pub fn simulate(trace: &Trace, policy: &mut dyn Policy, config: SimConfig) -> RunResult {
-    try_simulate(trace, policy, config).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Evicts instances (policy-chosen victims, falling back to the
 /// oldest-loaded instance via [`MemoryPool::oldest_loaded`]) until the
 /// pool has room for one more load.
@@ -1421,28 +1412,6 @@ mod tests {
         let trace = trace_of(vec![SparseSeries::new()], 10);
         let err = try_simulate(&trace, &mut KeepForever, SimConfig::new(5, 3)).unwrap_err();
         assert!(matches!(err, SimError::InvalidWindow { .. }));
-    }
-
-    // The deprecated wrapper keeps its panicking contract for downstream
-    // callers that still compile against it.
-    #[test]
-    #[should_panic(expected = "metrics_start outside")]
-    #[allow(deprecated)]
-    fn rejects_bad_metrics_start() {
-        let trace = trace_of(vec![SparseSeries::new()], 10);
-        let _ = simulate(
-            &trace,
-            &mut KeepForever,
-            SimConfig::new(2, 8).with_metrics_start(9),
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "window beyond trace horizon")]
-    #[allow(deprecated)]
-    fn rejects_window_beyond_horizon() {
-        let trace = trace_of(vec![SparseSeries::new()], 10);
-        let _ = simulate(&trace, &mut KeepForever, SimConfig::new(0, 11));
     }
 
     /// Pre-warms one fixed function every slot and never evicts.

@@ -1,11 +1,9 @@
 //! The event-stream layer of the simulation engine.
 //!
-//! The engine used to be a closed loop: every metric the paper reports
-//! was hand-accumulated inline in `simulate()`, and any consumer that
-//! wanted a different view of a run (per-slot curves, placement replay,
-//! eviction forensics) had to re-implement the loop. This module turns
-//! the run into a first-class **event stream**: while driving the policy,
-//! the engine emits a [`SimEvent`] for everything that happens —
+//! This module turns a run into a first-class **event stream**, so that
+//! no view of a run (the paper's metrics, per-slot curves, eviction
+//! forensics) has to re-implement the simulation loop: while driving the
+//! policy, the engine emits a [`SimEvent`] for everything that happens —
 //! invocations ([`SimEvent::ColdStart`] / [`SimEvent::WarmStart`]), pool
 //! transitions ([`SimEvent::Load`] / [`SimEvent::Evict`], each tagged
 //! with its cause), and a [`SimEvent::SlotEnd`] tick with snapshot access
@@ -18,9 +16,7 @@
 //! sparse workloads cost `O(events)` per slot instead of `O(loaded)`).
 //! [`SlotSeries`] records per-slot loaded/cold/EMCR curves for the
 //! figures, [`EvictionAudit`] keeps eviction forensics, and [`EventLog`]
-//! captures the raw stream for tests and offline analysis. The cluster
-//! placement replay (`spes_sim::cluster`) is an observer over the same
-//! stream.
+//! captures the raw stream for tests and offline analysis.
 //!
 //! Event order within one slot is deterministic: for each invoked
 //! function (trace bucket order) a `ColdStart`/`WarmStart`, then any

@@ -3,22 +3,19 @@
 //! Simulates a serverless platform at one-minute granularity under the
 //! paper's simulation principles: executions complete within their slot,
 //! cold-start latency is uniform (so cold-start *counts* are the metric),
-//! and a single node holds all loaded instances (the [`cluster`] module
-//! additionally models multi-node placement). Policies implement
+//! and a single node holds all loaded instances. Policies implement
 //! [`Policy`] and are driven by the [`engine`]: a pure event-stream
 //! driver ([`Simulation`]) that narrates each run — cold/warm starts,
 //! loads, evictions, slot ticks — to any set of [`Observer`]s (see
 //! [`events`]). The paper's metrics are one such observer
 //! ([`RunCollector`], producing a [`RunResult`]); others record per-slot
-//! curves ([`SlotSeries`]), eviction forensics ([`EvictionAudit`]), the
-//! raw stream ([`EventLog`]), or replay placement decisions onto a
-//! multi-node fleet ([`cluster::ClusterObserver`]). The [`suite`] module
-//! adds declarative policy construction: factories, capacity rules, and
-//! a two-phase suite runner over whole policy lists.
+//! curves ([`SlotSeries`]), eviction forensics ([`EvictionAudit`]), or
+//! the raw stream ([`EventLog`]). The [`suite`] module adds declarative
+//! policy construction: factories, capacity rules, and a two-phase suite
+//! runner over whole policy lists.
 
 #![forbid(unsafe_code)]
 
-pub mod cluster;
 pub mod engine;
 pub mod events;
 pub mod journal;
@@ -30,9 +27,6 @@ pub mod serve;
 pub mod shard;
 pub mod suite;
 
-pub use cluster::{run_on_cluster, Cluster, ClusterObserver, ClusterReport, PlacementStrategy};
-#[allow(deprecated)]
-pub use engine::simulate;
 pub use engine::{snapshot_info, SnapshotError, SnapshotInfo, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use engine::{try_simulate, SimConfig, SimDriver, SimError, Simulation, SlotOutcome};
 pub use events::{

@@ -218,16 +218,6 @@ impl SuiteOutcome {
         self.entries.iter().find(|e| e.name == name).map(|e| &e.run)
     }
 
-    /// The run of one policy by name.
-    ///
-    /// # Panics
-    /// Panics if the policy is not part of the suite.
-    #[must_use]
-    pub fn run_of(&self, name: &str) -> &RunResult {
-        self.try_run_of(name)
-            .unwrap_or_else(|| panic!("no run for policy {name}"))
-    }
-
     /// The per-slot series of one policy by name, if present.
     #[must_use]
     pub fn series_of(&self, name: &str) -> Option<&SlotSeries> {
@@ -465,7 +455,7 @@ mod tests {
         let out = run_suite(&data, &specs).unwrap();
         assert_eq!(out.entries[0].name, "no-keep-alive");
         assert_eq!(out.entries[1].name, "keep-forever");
-        let donor_peak = out.run_of("keep-forever").peak_loaded.max(1);
+        let donor_peak = out.try_run_of("keep-forever").unwrap().peak_loaded.max(1);
         assert_eq!(out.entries[0].resolved_capacity, Some(donor_peak));
         assert_eq!(out.entries[1].resolved_capacity, None);
     }
@@ -475,7 +465,7 @@ mod tests {
         let data = tiny_trace();
         let specs = vec![PolicySpec::new(KeepForeverFactory).with_capacity(CapacityRule::Fixed(3))];
         let out = run_suite(&data, &specs).unwrap();
-        assert!(out.run_of("keep-forever").peak_loaded <= 3);
+        assert!(out.try_run_of("keep-forever").unwrap().peak_loaded <= 3);
     }
 
     #[test]
@@ -522,7 +512,7 @@ mod tests {
     fn runs_measure_on_the_trace_boundary() {
         let data = tiny_trace();
         let out = run_suite(&data, &[PolicySpec::new(KeepForeverFactory)]).unwrap();
-        let run = out.run_of("keep-forever");
+        let run = out.try_run_of("keep-forever").unwrap();
         assert_eq!(run.start, data.train_end);
         assert_eq!(run.end, data.trace.n_slots);
     }
@@ -541,7 +531,8 @@ mod tests {
                     scope.spawn(move || {
                         run_suite(data, specs)
                             .unwrap()
-                            .run_of("keep-forever")
+                            .try_run_of("keep-forever")
+                            .unwrap()
                             .total_invocations()
                     })
                 })

@@ -15,8 +15,8 @@ mod common;
 use common::{make_policy, trace_strategy};
 use proptest::prelude::*;
 use spes_sim::{
-    try_simulate, ClusterObserver, DynObserver, EventLog, MemoryPressure, PlacementStrategy,
-    SimConfig, SimDriver, SimEvent, Simulation,
+    try_simulate, DynObserver, EventLog, EvictionAudit, MemoryPressure, SimConfig, SimDriver,
+    SimEvent, Simulation,
 };
 use spes_trace::{AppId, FunctionMeta, Slot, SparseSeries, Trace, TriggerType, UserId};
 
@@ -85,29 +85,24 @@ fn assert_step_parity(trace: &Trace, config: SimConfig, kind: u8, keep: u32) {
 }
 
 /// Derived observers see the same stream on both paths: a batch run
-/// with *borrowed* `ClusterObserver` + `MemoryPressure` observers and a
+/// with *borrowed* `EvictionAudit` + `MemoryPressure` observers and a
 /// stepped driver carrying the same pair as *owned* observers agree on
-/// the fleet report and every pressure counter.
+/// every eviction and pressure counter.
 fn assert_observer_combo_parity(trace: &Trace, config: SimConfig, kind: u8, keep: u32) {
     let n = trace.n_functions();
 
     let mut batch_policy = make_policy(kind, n, keep);
-    let mut batch_cluster = ClusterObserver::new(3, 2, n, PlacementStrategy::HashAffinity);
+    let mut batch_audit = EvictionAudit::new(5);
     let mut batch_pressure = MemoryPressure::new();
     Simulation::new(trace, config)
-        .observe(&mut batch_cluster)
+        .observe(&mut batch_audit)
         .observe(&mut batch_pressure)
         .run(batch_policy.as_mut())
         .unwrap();
 
     let mut stepped_policy = make_policy(kind, n, keep);
     let observers: Vec<Box<dyn DynObserver>> = vec![
-        Box::new(ClusterObserver::new(
-            3,
-            2,
-            n,
-            PlacementStrategy::HashAffinity,
-        )),
+        Box::new(EvictionAudit::new(5)),
         Box::new(MemoryPressure::new()),
     ];
     let mut driver = SimDriver::new(n, config, stepped_policy.as_mut(), observers).unwrap();
@@ -118,14 +113,13 @@ fn assert_observer_combo_parity(trace: &Trace, config: SimConfig, kind: u8, keep
     {
         driver.step(config.start + i as Slot, bucket).unwrap();
     }
-    let stepped_report = driver.observer::<ClusterObserver>().unwrap().report();
+    let stepped_audit = driver.observer::<EvictionAudit>().cloned().unwrap();
     let stepped_pressure = driver.observer::<MemoryPressure>().cloned().unwrap();
     let _ = driver.finish();
 
     assert_eq!(
-        stepped_report,
-        batch_cluster.report(),
-        "cluster report diverged (kind {kind})"
+        stepped_audit, batch_audit,
+        "eviction audit diverged (kind {kind})"
     );
     assert_eq!(
         stepped_pressure, batch_pressure,
@@ -175,7 +169,7 @@ proptest! {
         assert_step_parity(&trace, config, kind, keep);
     }
 
-    /// Observer combinations: `ClusterObserver` + `MemoryPressure`
+    /// Observer combinations: `EvictionAudit` + `MemoryPressure`
     /// derive identical state whether borrowed into the batch loop or
     /// owned by a hand-stepped driver, across unconstrained,
     /// capacity-limited, and admission-limited configs.

@@ -20,8 +20,8 @@ mod common;
 use common::{make_policy, trace_strategy};
 use proptest::prelude::*;
 use spes_sim::{
-    ClusterObserver, ClusterReport, DynObserver, EventLog, EvictionAudit, Fairness, FixedKeepAlive,
-    MemoryPressure, PlacementStrategy, SimConfig, SimDriver, SimEvent, SlotSeries, SnapshotError,
+    DynObserver, EventLog, EvictionAudit, Fairness, FixedKeepAlive, MemoryPressure, SimConfig,
+    SimDriver, SimEvent, SlotSeries, SnapshotError,
 };
 use spes_trace::{AppId, FunctionMeta, Slot, SparseSeries, Trace, TriggerType, UserId};
 
@@ -41,19 +41,13 @@ fn normalised_events(log: &EventLog) -> Vec<(Slot, bool, SimEvent)> {
 /// The full snapshot-bearing observer suite, in a fixed attachment
 /// order (resume matches serialized observer state to the supplied
 /// observers positionally by type name).
-fn observer_suite(n: usize, apps: &[AppId]) -> Vec<Box<dyn DynObserver>> {
+fn observer_suite(apps: &[AppId]) -> Vec<Box<dyn DynObserver>> {
     vec![
         Box::new(EventLog::new()),
         Box::new(SlotSeries::new()),
         Box::new(MemoryPressure::new()),
         Box::new(EvictionAudit::new(5)),
         Box::new(Fairness::new(apps)),
-        Box::new(ClusterObserver::new(
-            3,
-            4,
-            n,
-            PlacementStrategy::HashAffinity,
-        )),
     ]
 }
 
@@ -65,7 +59,6 @@ struct SuiteState {
     pressure: MemoryPressure,
     audit: EvictionAudit,
     fairness: Fairness,
-    cluster: ClusterReport,
 }
 
 fn suite_state(driver: &SimDriver<'_, '_>) -> SuiteState {
@@ -75,7 +68,6 @@ fn suite_state(driver: &SimDriver<'_, '_>) -> SuiteState {
         pressure: driver.observer::<MemoryPressure>().cloned().unwrap(),
         audit: driver.observer::<EvictionAudit>().cloned().unwrap(),
         fairness: driver.observer::<Fairness>().cloned().unwrap(),
-        cluster: driver.observer::<ClusterObserver>().unwrap().report(),
     }
 }
 
@@ -90,7 +82,7 @@ fn assert_snapshot_resume_identical(trace: &Trace, config: SimConfig, kind: u8, 
     // Uninterrupted reference run.
     let mut ref_policy = make_policy(kind, n, keep);
     let mut reference =
-        SimDriver::new(n, config, ref_policy.as_mut(), observer_suite(n, &apps)).unwrap();
+        SimDriver::new(n, config, ref_policy.as_mut(), observer_suite(&apps)).unwrap();
     for (i, bucket) in buckets.iter().enumerate() {
         reference.step(config.start + i as Slot, bucket).unwrap();
     }
@@ -104,7 +96,7 @@ fn assert_snapshot_resume_identical(trace: &Trace, config: SimConfig, kind: u8, 
         let mut policy = make_policy(kind, n, keep);
         let snapshot = {
             let mut prefix =
-                SimDriver::new(n, config, policy.as_mut(), observer_suite(n, &apps)).unwrap();
+                SimDriver::new(n, config, policy.as_mut(), observer_suite(&apps)).unwrap();
             for (i, bucket) in buckets[..k].iter().enumerate() {
                 prefix.step(config.start + i as Slot, bucket).unwrap();
             }
@@ -112,7 +104,7 @@ fn assert_snapshot_resume_identical(trace: &Trace, config: SimConfig, kind: u8, 
         };
 
         let mut resumed =
-            SimDriver::resume_from(&snapshot, policy.as_mut(), observer_suite(n, &apps)).unwrap();
+            SimDriver::resume_from(&snapshot, policy.as_mut(), observer_suite(&apps)).unwrap();
         assert_eq!(resumed.next_slot(), config.start + k as Slot);
         for (i, bucket) in buckets[k..].iter().enumerate() {
             resumed
@@ -152,10 +144,6 @@ fn assert_snapshot_resume_identical(trace: &Trace, config: SimConfig, kind: u8, 
         assert_eq!(
             state.fairness, ref_state.fairness,
             "Fairness diverged at cut {k}"
-        );
-        assert_eq!(
-            state.cluster, ref_state.cluster,
-            "ClusterReport diverged at cut {k}"
         );
     }
 }

@@ -231,27 +231,6 @@ impl SynthTrace {
         Ok(Self::wrap_external(trace, train_end))
     }
 
-    /// Panicking convenience over [`SynthTrace::try_from_external`], for
-    /// tests and tools that control their input.
-    ///
-    /// # Panics
-    /// Panics on any [`ExternalTraceError`].
-    #[must_use]
-    pub fn from_external(trace: Trace) -> Self {
-        Self::try_from_external(trace).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Panicking convenience over
-    /// [`SynthTrace::try_from_external_with_boundary`].
-    ///
-    /// # Panics
-    /// Panics if `train_end` is outside `(0, trace.n_slots)` or the
-    /// trace is empty.
-    #[must_use]
-    pub fn from_external_with_boundary(trace: Trace, train_end: Slot) -> Self {
-        Self::try_from_external_with_boundary(trace, train_end).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     fn wrap_external(trace: Trace, train_end: Slot) -> Self {
         let specs = trace
             .metas
@@ -303,26 +282,7 @@ pub fn generate(config: &SynthConfig) -> SynthTrace {
     let mut rng = SmallRng::seed_from_u64(config.seed);
     let specs = population::build_population(config, &mut rng);
 
-    // Pass 1: all non-chained functions, each from a per-function RNG so
-    // that the output is independent of generation order.
-    let mut series: Vec<SparseSeries> = vec![SparseSeries::new(); specs.len()];
-    for (i, spec) in specs.iter().enumerate() {
-        if spec.is_chained() {
-            continue;
-        }
-        series[i] = generate_segments(spec, config.seed, i as u64);
-    }
-
-    // Pass 2: chained functions, reading their parent's finished series.
-    for (i, spec) in specs.iter().enumerate() {
-        if !spec.is_chained() {
-            continue;
-        }
-        let chained =
-            generate_chained_segments(spec, config.seed, i as u64, &|p| &series[p.index()]);
-        series[i] = chained;
-    }
-
+    let series = generate_apps(&specs, 0, config.seed);
     let metas = specs.iter().map(|s| s.meta).collect();
     SynthTrace {
         trace: Trace::new(horizon, metas, series),
@@ -331,10 +291,33 @@ pub fn generate(config: &SynthConfig) -> SynthTrace {
     }
 }
 
+/// Series of a run of whole applications, `specs[0]` being function
+/// `lo`. The one generation loop behind both [`generate`] (the whole
+/// population at once) and the streaming producer
+/// ([`stream::SynthStream`], one app at a time): non-chained functions
+/// first, then chained ones against their finished parents. Parents are
+/// always non-chained members of the same app, so whole apps are
+/// self-contained; each function draws from an order-independent
+/// per-function RNG, so the output does not depend on how the population
+/// is split.
+fn generate_apps(specs: &[FunctionSpec], lo: usize, seed: u64) -> Vec<SparseSeries> {
+    let mut series = vec![SparseSeries::new(); specs.len()];
+    for (off, spec) in specs.iter().enumerate() {
+        if !spec.is_chained() {
+            series[off] = generate_segments(spec, seed, (lo + off) as u64);
+        }
+    }
+    for (off, spec) in specs.iter().enumerate() {
+        if spec.is_chained() {
+            let chained = generate_chained_segments(spec, seed, (lo + off) as u64, &series, lo);
+            series[off] = chained;
+        }
+    }
+    series
+}
+
 /// Series of one non-chained function from its order-independent
-/// per-function RNG. Shared by [`generate`] and the streaming producer
-/// ([`stream::SynthStream`]) — both must consume RNG draws identically
-/// for the bit-equality contract to hold.
+/// per-function RNG.
 fn generate_segments(spec: &FunctionSpec, seed: u64, index: u64) -> SparseSeries {
     let mut frng = SmallRng::seed_from_u64(seed ^ index.wrapping_mul(0x9E37_79B9));
     let mut pairs: Vec<(Slot, u32)> = Vec::new();
@@ -345,23 +328,22 @@ fn generate_segments(spec: &FunctionSpec, seed: u64, index: u64) -> SparseSeries
     SparseSeries::from_pairs(pairs)
 }
 
-/// Series of one chained function. `parent_of` resolves a parent's
-/// finished series; parents are always non-chained members of the same
-/// app with a smaller function index, so both the materialised
-/// ([`generate`]) and the app-chunked streaming producer can satisfy the
-/// lookup from what they have already generated.
-fn generate_chained_segments<'a>(
+/// Series of one chained function. `apps` holds the series of the apps
+/// being generated, the first of them function `lo`; the parents are
+/// read from there.
+fn generate_chained_segments(
     spec: &FunctionSpec,
     seed: u64,
     index: u64,
-    parent_of: &dyn Fn(crate::model::FunctionId) -> &'a SparseSeries,
+    apps: &[SparseSeries],
+    lo: usize,
 ) -> SparseSeries {
     let mut frng = SmallRng::seed_from_u64(seed ^ index.wrapping_mul(0x9E37_79B9));
     let mut pairs: Vec<(Slot, u32)> = Vec::new();
     for seg in &spec.segments {
         let seg_series = match &seg.archetype {
             Archetype::Chained { parent, lag, prob } => archetype::generate_chained(
-                parent_of(*parent),
+                &apps[parent.index() - lo],
                 *lag,
                 *prob,
                 seg.start,
@@ -628,17 +610,9 @@ mod tests {
     fn external_trace_gets_fallback_boundary() {
         let data = small_test_trace(40, 1);
         let n_slots = data.trace.n_slots;
-        let wrapped = SynthTrace::from_external(data.trace);
+        let wrapped = SynthTrace::try_from_external(data.trace).unwrap();
         assert_eq!(wrapped.train_end, fallback_train_end(n_slots));
         assert_eq!(wrapped.specs.len(), wrapped.trace.n_functions());
-    }
-
-    #[test]
-    #[should_panic(expected = "training boundary")]
-    fn external_trace_rejects_bad_boundary() {
-        let data = small_test_trace(10, 2);
-        let n_slots = data.trace.n_slots;
-        let _ = SynthTrace::from_external_with_boundary(data.trace, n_slots);
     }
 
     #[test]
@@ -686,12 +660,6 @@ mod tests {
             );
             assert!(err.to_string().contains("boundary"), "{err}");
         }
-
-        // The happy path agrees with the panicking wrapper.
-        let a = SynthTrace::try_from_external(small_test_trace(40, 2).trace).unwrap();
-        let b = SynthTrace::from_external(small_test_trace(40, 2).trace);
-        assert_eq!(a.train_end, b.train_end);
-        assert_eq!(a.trace.n_slots, b.trace.n_slots);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Chunked/streaming synthetic trace production.
 //!
 //! [`super::generate`] materialises the whole workload before a
-//! simulation can start: every per-function [`SparseSeries`], the
+//! simulation can start: every per-function [`crate::SparseSeries`], the
 //! [`crate::Trace`] wrapper, and — once the engine calls
 //! [`crate::Trace::bucket_by_slot`] — a second, slot-major copy of every
 //! event. At the paper's scale (hundreds to thousands of functions) that
@@ -39,9 +39,9 @@
 //! assert_eq!(stream.train_end(), materialised.train_end);
 //! ```
 
-use super::population::{self, FunctionSpec};
-use super::{generate_chained_segments, generate_segments, SynthConfig};
-use crate::model::{FunctionId, FunctionMeta, Slot, SlotBatches, SparseSeries};
+use super::population;
+use super::{generate_apps, SynthConfig};
+use crate::model::{FunctionId, FunctionMeta, Slot, SlotBatches};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -111,20 +111,20 @@ impl SynthStream {
 
         // Function-major flat event list; filled one app chunk at a time.
         // Apps occupy contiguous index ranges (the population generator
-        // numbers them sequentially), so walking runs of equal `meta.app`
-        // visits every function exactly once, in ascending index order —
+        // numbers them sequentially), so the runs of equal `meta.app`
+        // visit every function exactly once, in ascending index order —
         // the order the counting sort below relies on for per-slot
         // function-ascending batches.
         let mut triples: Vec<(Slot, FunctionId, u32)> = Vec::new();
         let mut lo = 0usize;
-        while lo < specs.len() {
-            let app = specs[lo].meta.app;
-            let mut hi = lo + 1;
-            while hi < specs.len() && specs[hi].meta.app == app {
-                hi += 1;
+        for chunk in specs.chunk_by(|a, b| a.meta.app == b.meta.app) {
+            for (off, series) in generate_apps(chunk, lo, config.seed).iter().enumerate() {
+                let f = FunctionId((lo + off) as u32);
+                for &(slot, count) in series.events() {
+                    triples.push((slot, f, count));
+                }
             }
-            flush_app_chunk(&specs[lo..hi], lo, config.seed, &mut triples);
-            lo = hi;
+            lo += chunk.len();
         }
 
         let batches = SlotBatches::from_function_major(0, horizon, &triples);
@@ -177,38 +177,6 @@ impl SynthStream {
     #[must_use]
     pub fn into_parts(self) -> (SlotBatches, Vec<FunctionMeta>) {
         (self.batches, self.metas)
-    }
-}
-
-/// Generates one app's series (two passes: non-chained, then chained
-/// against their in-chunk parents) and flushes every event into the flat
-/// function-major list. `lo` is the global index of `chunk[0]`.
-fn flush_app_chunk(
-    chunk: &[FunctionSpec],
-    lo: usize,
-    seed: u64,
-    triples: &mut Vec<(Slot, FunctionId, u32)>,
-) {
-    let mut local: Vec<SparseSeries> = vec![SparseSeries::new(); chunk.len()];
-    for (off, spec) in chunk.iter().enumerate() {
-        if spec.is_chained() {
-            continue;
-        }
-        local[off] = generate_segments(spec, seed, (lo + off) as u64);
-    }
-    for (off, spec) in chunk.iter().enumerate() {
-        if !spec.is_chained() {
-            continue;
-        }
-        let chained =
-            generate_chained_segments(spec, seed, (lo + off) as u64, &|p| &local[p.index() - lo]);
-        local[off] = chained;
-    }
-    for (off, series) in local.iter().enumerate() {
-        let f = FunctionId((lo + off) as u32);
-        for &(slot, count) in series.events() {
-            triples.push((slot, f, count));
-        }
     }
 }
 
